@@ -15,6 +15,9 @@ concurrently.  :class:`ClusterEngine` is that layer:
   ops for different shards run genuinely concurrently while ops for the same
   shard (hence the same key) execute in submission order — per-key
   linearizability for free, from the engine's instance ordering;
+* single-key requests **coalesce** per shard: an idle shard runs each one
+  as its own instance, and requests that arrive while one is in flight ship
+  together as a single group-commit instance when it completes;
 * the data plane is pure choreography — puts replicate through
   :func:`~repro.protocols.kvs.kvs_with_backups`, quorum reads and
   read-repair through :func:`~repro.protocols.kvs.kvs_quorum_get`, scans
@@ -97,7 +100,7 @@ import os
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..chor import ChoreographyDef, choreography
@@ -331,12 +334,12 @@ class ShardHealth:
     #: Replicas detected dead and dropped out of the replica group (demoted
     #: backups *and* deposed primaries), in detection order.
     down: Tuple[Location, ...] = field(default=())
-    #: The shard engine's in-flight instance count at snapshot time — the
-    #: per-shard queue depth behind :attr:`ClusterEngine.pending`.  This is
-    #: the signal an admission controller keys off (the gateway sheds load
-    #: once the cluster-wide sum passes its high-water mark) and the number
-    #: that tells an operator *where* a backlog sits, not just that one
-    #: exists.
+    #: The shard engine's in-flight instance count plus its coalesced
+    #: requests not yet shipped, at snapshot time — the per-shard queue
+    #: depth behind :attr:`ClusterEngine.pending`.  This is the signal an
+    #: admission controller keys off (the gateway sheds load once the
+    #: cluster-wide sum passes its high-water mark) and the number that
+    #: tells an operator *where* a backlog sits, not just that one exists.
     pending: int = field(default=0)
     #: The shard's current epoch: 0 until a primary promotion, bumped by one
     #: per promotion.  Bindings from older epochs are fenced with
@@ -416,6 +419,11 @@ class RejoinReport:
     fell_back: bool
 
 
+#: A coalesced batch enqueued on its shard engine: the run's Future, the
+#: ``"serve"`` arguments, and one Future per request.
+_Batch = Tuple["Future[ChoreographyResult]", tuple, List["Future[ChoreographyResult]"]]
+
+
 class _ShardSession:
     """One shard's worth of warm machinery: census, engine, state, bound ops."""
 
@@ -423,7 +431,7 @@ class _ShardSession:
         "shard_id", "client", "census", "servers", "primary", "backups", "down",
         "rejoining", "durability", "state", "engine", "epoch", "fence",
         "put", "get", "delete", "scan", "serve", "txn_prepare", "txn_decide",
-        "pings",
+        "pings", "lane", "queued", "coalescing",
     )
 
     def __init__(
@@ -472,6 +480,20 @@ class _ShardSession:
             for replica in self.servers
         }
         self._bind_data_plane()
+        # The coalescing lane (see ClusterEngine._submit_coalesced): single-key
+        # requests that arrived while a coalesced instance was in flight, and
+        # how many such instances are in flight.  ``lane`` guards both and is
+        # held across every data-plane registration with ``engine``, so taking
+        # the queue and enqueueing it is one step.  Lock order: the cluster
+        # lock before ``lane``, never the other way round.
+        self.lane = threading.Lock()
+        self.queued: List[Tuple[Request, "Future[ChoreographyResult]"]] = []
+        self.coalescing: int = 0
+
+    def depth(self) -> int:
+        """In-flight instances plus queued requests: the shard's backlog."""
+        with self.lane:
+            return len(self.queued) + self.engine.pending
 
     def _recover_promoted_head(self) -> None:
         """Reopen under the head the durable promotion records elect.
@@ -670,7 +692,7 @@ class _ShardSession:
             self.primary,
             {replica: status(replica) for replica in self.servers},
             down=tuple(self.down),
-            pending=self.engine.pending,
+            pending=self.depth(),
             epoch=self.epoch,
             roles={
                 replica: "primary" if replica == self.primary else "backup"
@@ -825,6 +847,17 @@ class ClusterEngine:
 
     # ------------------------------------------------------------- data plane --
 
+    def _accepting(self, shard_id: ShardId) -> _ShardSession:
+        """The shard's session, if the cluster takes submits (``_lock`` held)."""
+        if self._closed:
+            raise ClusterClosed("cannot submit to a closed ClusterEngine")
+        if self._control_op is not None:
+            raise ClusterRebalancing(
+                f"cannot submit while the cluster is busy with "
+                f"{self._control_op}; drain in-flight futures and retry"
+            )
+        return self._sessions[shard_id]
+
     def _submit(self, shard_id: ShardId, op_name: str,
                 args: Sequence[Any] = (), kwargs: Optional[Dict[str, Any]] = None,
                 ) -> "Future[ChoreographyResult]":
@@ -847,38 +880,70 @@ class ClusterEngine:
         multiple unacknowledged writes to one key concurrently with a
         replica crash may observe the replayed (older) write re-applied
         after a newer one.  ``docs/testing.md`` spells out the contract.
+
+        The shard's queued single-key requests (:meth:`_submit_coalesced`)
+        are enqueued first, under the same hold of the shard's lane lock, so
+        the engine's FIFO order equals submission order.
         """
-        outer: "Future[ChoreographyResult]" = Future()
-        # Replay budget: each replay consumes either a membership shrink (a
-        # demotion or a promotion — at most replication-1 of those before an
-        # unreplicated head) or a stale-epoch retry (a submit whose binding a
-        # concurrent promotion invalidated — at most one per promotion), so
-        # 2·(replication-1) bounds the chain and it always terminates.
-        self._dispatch(
-            shard_id, op_name, tuple(args), dict(kwargs or {}), outer,
-            replays_left=max(0, 2 * (self.replication - 1)),
+        args, kwargs = tuple(args), dict(kwargs or {})
+        with self._lock:
+            session = self._accepting(shard_id)
+        batch: Optional[_Batch] = None
+        try:
+            with session.lane:
+                batch = self._take_batch(session)
+                inner = self._register(session, op_name, args, kwargs)
+        finally:
+            if batch is not None:
+                self._watch_batch(session, batch)
+        return self._follow(inner, shard_id, op_name, args, kwargs)
+
+    def _register(self, session: _ShardSession, op_name: str, args: tuple,
+                  kwargs: Dict[str, Any]) -> "Future[ChoreographyResult]":
+        """Enqueue one run on the shard engine (``session.lane`` held)."""
+        try:
+            return session.engine.submit(
+                getattr(session, op_name), args=args, kwargs=kwargs
+            )
+        except RuntimeError:
+            if self._closed:  # close() won the race since the check above
+                raise ClusterClosed("cannot submit to a closed ClusterEngine") from None
+            raise
+
+    def _follow(self, inner: "Future[ChoreographyResult]", shard_id: ShardId,
+                op_name: str, args: tuple, kwargs: Dict[str, Any],
+                outer: "Optional[Future[ChoreographyResult]]" = None,
+                replays_left: Optional[int] = None) -> "Future[ChoreographyResult]":
+        """Resolve ``outer`` (a new Future by default) from ``inner``'s run.
+
+        Called without locks held: ``inner`` may already be done, and then
+        its callback runs here.
+        """
+        if outer is None:
+            outer = Future()
+            # Replay budget: each replay consumes either a membership shrink
+            # (a demotion or a promotion — at most replication-1 of those
+            # before an unreplicated head) or a stale-epoch retry (a submit
+            # whose binding a concurrent promotion invalidated — at most one
+            # per promotion), so 2·(replication-1) bounds the chain and it
+            # always terminates.
+            replays_left = max(0, 2 * (self.replication - 1))
+        inner.add_done_callback(
+            lambda done: self._settle(
+                done, shard_id, op_name, args, kwargs, outer, replays_left
+            )
         )
         return outer
 
     def _dispatch(self, shard_id: ShardId, op_name: str, args: tuple,
                   kwargs: Dict[str, Any], outer: "Future[ChoreographyResult]",
                   replays_left: int) -> None:
+        """Re-enqueue a failed run (a replay) at the back of the shard engine."""
         with self._lock:
-            if self._closed:
-                raise ClusterClosed("cannot submit to a closed ClusterEngine")
-            if self._control_op is not None:
-                raise ClusterRebalancing(
-                    f"cannot submit while the cluster is busy with "
-                    f"{self._control_op}; drain in-flight futures and retry"
-                )
-            session = self._sessions[shard_id]
-            chor = getattr(session, op_name)
-        inner = session.engine.submit(chor, args=args, kwargs=kwargs)
-        inner.add_done_callback(
-            lambda done: self._settle(
-                done, shard_id, op_name, args, kwargs, outer, replays_left
-            )
-        )
+            session = self._accepting(shard_id)
+        with session.lane:
+            inner = self._register(session, op_name, args, kwargs)
+        self._follow(inner, shard_id, op_name, args, kwargs, outer, replays_left)
 
     def _settle(self, done: "Future[ChoreographyResult]", shard_id: ShardId,
                 op_name: str, args: tuple, kwargs: Dict[str, Any],
@@ -1033,6 +1098,108 @@ class ClusterEngine:
             ))
             return True
 
+    # -------------------------------------------------------- coalescing lane --
+
+    def _submit_coalesced(
+        self, shard_id: ShardId, request: Request, op_name: str, args: tuple,
+        kwargs: Optional[Dict[str, Any]] = None,
+    ) -> "Future[ChoreographyResult]":
+        """Run a single-key request now, or queue it for the next group commit.
+
+        A shard with no coalesced instance in flight runs the request at once
+        on its single-request choreography (``op_name``), so an idle shard
+        pays nothing extra.  Requests arriving while that instance — or a
+        coalesced batch — is in flight queue up; when it completes, the
+        whole queue ships as one ``"serve"`` instance
+        (:func:`~repro.protocols.kvs.kvs_serve_batch`), so the batch size
+        follows load with no timer and no size setting.  At most one
+        coalesced instance per shard is in flight, except that a
+        non-coalesced submission enqueues the queue ahead of itself to keep
+        its place in line (:meth:`_submit`).
+        """
+        kwargs = dict(kwargs or {})
+        with self._lock:
+            session = self._accepting(shard_id)
+        with session.lane:
+            # close() empties the lanes after setting the flag: a request
+            # queued past that point would never ship.
+            if self._closed:
+                raise ClusterClosed("cannot submit to a closed ClusterEngine")
+            if session.coalescing:
+                future: "Future[ChoreographyResult]" = Future()
+                session.queued.append((request, future))
+                return future
+            inner = self._register(session, op_name, args, kwargs)
+            session.coalescing = 1
+        outer = self._follow(inner, shard_id, op_name, args, kwargs)
+        outer.add_done_callback(lambda _done: self._release_lane(session))
+        return outer
+
+    def _take_batch(self, session: _ShardSession) -> Optional[_Batch]:
+        """Enqueue the shard's queue as one ``"serve"`` run (``session.lane`` held).
+
+        The batch rides :meth:`_submit`'s failover path as a whole (see
+        :meth:`_watch_batch`): a failure is replayed, and one that does not
+        recover reaches every request.
+        """
+        if not session.queued:
+            return None
+        queued, session.queued = session.queued, []
+        args = ([request for request, _future in queued],)
+        try:
+            inner = self._register(session, "serve", args, {})
+        except Exception as exc:  # noqa: BLE001 - relayed to every request
+            inner = Future()
+            inner.set_exception(exc)
+        session.coalescing += 1
+        return inner, args, [future for _request, future in queued]
+
+    def _watch_batch(self, session: _ShardSession, batch: _Batch) -> None:
+        """Free the lane when a shipped batch finishes, then fan it out."""
+        inner, args, futures = batch
+
+        def settle(done: "Future[ChoreographyResult]") -> None:
+            self._release_lane(session)
+            self._fan_out(done, futures, as_results=True)
+
+        self._follow(inner, session.shard_id, "serve", args, {}).add_done_callback(settle)
+
+    def _release_lane(self, session: _ShardSession) -> None:
+        """A coalesced instance finished: ship the shard's queue, or go idle."""
+        with session.lane:
+            session.coalescing -= 1
+            batch = None if session.coalescing else self._take_batch(session)
+        if batch is not None:
+            self._watch_batch(session, batch)
+
+    def _fan_out(self, done: "Future[ChoreographyResult]", futures: List[Future],
+                 *, as_results: bool = False) -> None:
+        """Resolve one Future per request of a finished ``"serve"`` run.
+
+        :meth:`submit_batch` hands each Future its request's
+        :class:`~repro.protocols.kvs.Response`; the coalescing lane
+        (``as_results``) hands each a :class:`ChoreographyResult` of its own
+        whose client value is that Response and whose ``stats``,
+        ``elapsed_seconds`` and ``instance`` are the batch's.  A failed run
+        fails every Future with the same error.
+        """
+        try:
+            result = done.result()
+            responses = self.response_of(result)
+        except BaseException as exc:  # noqa: BLE001 - relayed per request
+            for future in futures:
+                future.set_exception(exc)
+            return
+        for future, response in zip(futures, responses):
+            if as_results:
+                future.set_result(
+                    replace(result, returns={**result.returns, self.client: response})
+                )
+            else:
+                future.set_result(response)
+
+    # ---------------------------------------------------------- data-plane API --
+
     def submit_put(self, key: str, value: str) -> "Future[ChoreographyResult]":
         """Enqueue a replicated Put on ``key``'s shard; returns immediately.
 
@@ -1043,9 +1210,18 @@ class ClusterEngine:
             ``value_at(cluster.client)``.  If the run fails on a backup that
             is (or is then confirmed) dead, the Put is replayed against the
             demoted replica group and the Future resolves with the replay.
+
+        Puts, primary Gets and Deletes **coalesce** per shard: on an idle
+        shard the request runs at once as its own instance; while one is in
+        flight, later requests queue and ship together as one group-commit
+        instance when it completes.  A coalesced request's result shares the
+        batch's ``stats``, ``elapsed_seconds`` and ``instance``; only its
+        client value is its own.
         """
         shard_id = self.shard_for(key)
-        return self._submit(shard_id, "put", args=(key, value))
+        return self._submit_coalesced(
+            shard_id, Request.put(key, value), "put", (key, value)
+        )
 
     def submit_get(
         self, key: str, *, quorum: bool = False, read_repair: bool = True
@@ -1061,12 +1237,17 @@ class ClusterEngine:
 
         Returns:
             A Future of the shard run's result (see :meth:`submit_put`);
-            dead-backup failures are replayed like Puts.
+            dead-backup failures are replayed like Puts.  A primary Get
+            coalesces like a Put (same shared ``stats``/``elapsed_seconds``/
+            ``instance``); a quorum Get never does, and first ships the
+            shard's queued requests so it observes them.
         """
         shard_id = self.shard_for(key)
-        return self._submit(
-            shard_id, "get",
-            args=(key,), kwargs={"quorum": quorum, "read_repair": read_repair},
+        kwargs = {"quorum": quorum, "read_repair": read_repair}
+        if quorum:
+            return self._submit(shard_id, "get", args=(key,), kwargs=kwargs)
+        return self._submit_coalesced(
+            shard_id, Request.get(key), "get", (key,), kwargs
         )
 
     def submit_delete(self, key: str) -> "Future[ChoreographyResult]":
@@ -1083,9 +1264,13 @@ class ClusterEngine:
             A Future of the shard run's result (see :meth:`submit_put`); the
             client-side :class:`~repro.protocols.kvs.Response` holds the
             previous binding (``found``) or ``not_found`` for an absent key.
+            Deletes coalesce like Puts, with the same shared ``stats``/
+            ``elapsed_seconds``/``instance``.
         """
         shard_id = self.shard_for(key)
-        return self._submit(shard_id, "delete", args=(key,))
+        return self._submit_coalesced(
+            shard_id, Request.delete(key), "delete", (key,)
+        )
 
     def submit_batch(self, requests: Sequence[Request]) -> List["Future[Response]"]:
         """Serve a request batch with one group-commit instance per shard.
@@ -1113,22 +1298,12 @@ class ClusterEngine:
             # come back answered ``stopped``, as kvs_serve_batch promises.
             per_shard.setdefault(self.shard_for(request.key or ""), []).append(index)
         futures: List["Future[Response]"] = [Future() for _ in requests]
-
-        def _fan_out(done: "Future[ChoreographyResult]", indices: List[int]) -> None:
-            try:
-                responses = self.response_of(done.result())
-            except BaseException as exc:  # noqa: BLE001 - relayed per request
-                for index in indices:
-                    futures[index].set_exception(exc)
-                return
-            for index, response in zip(indices, responses):
-                futures[index].set_result(response)
-
         for shard_id, indices in per_shard.items():
             sub_batch = [requests[index] for index in indices]
             shard_future = self._submit(shard_id, "serve", args=(sub_batch,))
             shard_future.add_done_callback(
-                lambda done, indices=indices: _fan_out(done, indices)
+                lambda done, mine=[futures[index] for index in indices]:
+                self._fan_out(done, mine)
             )
         return futures
 
@@ -1424,8 +1599,14 @@ class ClusterEngine:
 
     @property
     def pending(self) -> int:
-        """In-flight instances across all shard engines (0 = quiescent)."""
-        return sum(session.engine.pending for session in self._sessions.values())
+        """In-flight work across all shards (0 = quiescent).
+
+        Each shard engine's in-flight instances, plus the coalesced requests
+        no instance holds yet.  A queued request leaves the queue under the
+        same lock hold that registers its batch instance with the engine, so
+        ``pending == 0`` still means quiescent.
+        """
+        return sum(session.depth() for session in self._sessions.values())
 
     def health(self) -> Dict[ShardId, ShardHealth]:
         """Every shard's replica liveness, as currently believed.
@@ -1728,8 +1909,10 @@ class ClusterEngine:
 
         Racing submits that arrive once the flag is set get a typed
         :class:`ClusterClosed` instead of a Future enqueued on a dying
-        engine.  Durable stores are flushed and closed *after* their engine
-        has drained, so the WAL holds every acknowledged mutation.
+        engine.  Requests already accepted still run: coalesced requests
+        queued behind an in-flight instance ship before their engine closes.
+        Durable stores are flushed and closed *after* their engine has
+        drained, so the WAL holds every acknowledged mutation.
         """
         with self._lock:
             if self._closed:
@@ -1737,6 +1920,11 @@ class ClusterEngine:
             self._closed = True
             sessions = list(self._sessions.values())
             txn_log = self._txn_log
+        for session in sessions:
+            with session.lane:
+                batch = self._take_batch(session)
+            if batch is not None:
+                self._watch_batch(session, batch)
         for session in sessions:
             session.engine.close()
             session.close_storage()

@@ -189,7 +189,10 @@ class TestBackupFailover:
             assert to_dead_after == to_dead_before  # degraded binding skips it
 
     def test_inflight_pipelined_submits_are_replayed(self):
-        plan = FaultPlan(seed=7).crash("shard0.r1", after_ops=4)
+        # The first put runs alone and costs the backup two ops (request
+        # multicast in, ack out); the puts pipelined behind it queue and ship
+        # as one group-commit instance, whose first backup op crashes.
+        plan = FaultPlan(seed=7).crash("shard0.r1", after_ops=2)
         with ClusterEngine(
             shards=1, replication=2, backend=BACKEND, timeout=TIMEOUT, faults=plan
         ) as cluster:

@@ -375,6 +375,20 @@ class TestDrain:
         server.close()
         server.close()
 
+    def test_idle_close_is_prompt_and_joins_the_accept_thread(self):
+        with ClusterClient(shards=1, replication=1, backend="local") as kvs:
+            before = set(threading.enumerate())
+            server = GatewayServer(kvs).start()
+            started = time.monotonic()
+            server.close()
+            elapsed = time.monotonic() - started
+            leftover = [
+                thread.name for thread in set(threading.enumerate()) - before
+                if thread.name.startswith("gw-") and thread.is_alive()
+            ]
+            assert leftover == []
+            assert elapsed < 0.05
+
 
 class TestGatewaySettings:
     def test_from_env_reads_prefixed_vars(self):
