@@ -32,8 +32,8 @@ The package provides:
   first-class, runnable, checkable objects (``.run()``, ``.check()``,
   ``.cost()``, ``.bind()``).
 * :mod:`repro.runtime` — persistent :class:`ChoreoEngine` sessions, the
-  pluggable backend registry, coalescing transports, the one-shot runner,
-  and the centralized reference semantics.
+  ``BACKENDS`` name → factory table, coalescing transports, the one-shot
+  runner, and the centralized reference semantics.
 * :mod:`repro.cluster` — the sharded KVS service layer: a consistent-hash
   :class:`ShardRouter`, a :class:`ClusterEngine` multiplexing one warm
   engine per shard — with dead-replica detection, backup demotion, primary
@@ -117,20 +117,11 @@ from .runtime import (
     LocalTransport,
     SimulatedNetworkTransport,
     TCPTransport,
-    TransportBackend,
-    WireCodec,
-    backend_names,
-    impl,
-    implementations,
-    implements,
-    register_backend,
-    register_impl,
-    resolve_impl,
     run_centralized,
     run_choreography,
 )
 
-__version__ = "1.8.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "ABSENT",
@@ -177,23 +168,14 @@ __all__ = [
     "SnapshotStore",
     "StaleEpoch",
     "TCPTransport",
-    "TransportBackend",
     "TransportError",
     "TxnAborted",
     "TxnConflict",
     "TxnResult",
-    "WireCodec",
     "WriteAheadLog",
     "as_census",
-    "backend_names",
     "choreography",
-    "impl",
-    "implementations",
-    "implements",
     "project",
-    "register_backend",
-    "register_impl",
-    "resolve_impl",
     "rejoin_backup",
     "run_centralized",
     "run_choreography",

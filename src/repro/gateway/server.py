@@ -41,7 +41,7 @@ import json
 import socket
 import threading
 import time
-from queue import Empty, Queue
+from queue import Queue
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..cluster.client import ClusterClient
@@ -66,8 +66,6 @@ from .protocol import (
 from .settings import GatewaySettings
 
 _RECV_SIZE = 65536
-#: Writer-queue poll interval; bounds how long shutdown waits on an idle queue.
-_QUEUE_POLL = 0.1
 
 #: A queued reply: either ready now, or a thunk the writer resolves (waiting
 #: on cluster Futures), plus whether it holds an in-flight slot to release.
@@ -180,27 +178,27 @@ class _Connection:
     # ---------------------------------------------------------------- writer --
 
     def _write_loop(self) -> None:
+        # Runs until the reader's ``None`` sentinel.  Once a send fails the
+        # socket is shut (waking the reader) and the rest of the queue is
+        # drained without sending, so every held in-flight slot is released.
+        broken = False
         try:
             while True:
-                try:
-                    item = self.queue.get(timeout=_QUEUE_POLL)
-                except Empty:
-                    if self.closed.is_set():
-                        break
-                    continue
+                item = self.queue.get()
                 if item is None:
                     break
                 producer, holds_slot = item
-                broken = False
                 try:
-                    try:
-                        reply = producer()
-                    except BaseException as exc:  # noqa: BLE001 - a frame
-                        reply = reply_for_exception(exc)
-                    try:
-                        self.sock.sendall(encode_reply(reply))
-                    except OSError:
-                        broken = True
+                    if not broken:
+                        try:
+                            reply = producer()
+                        except BaseException as exc:  # noqa: BLE001 - a frame
+                            reply = reply_for_exception(exc)
+                        try:
+                            self.sock.sendall(encode_reply(reply))
+                        except OSError:
+                            broken = True
+                            self.close()
                 finally:
                     # Release only after the reply bytes are on the socket:
                     # the drain in close() waits on this count, and waking
@@ -208,8 +206,6 @@ class _Connection:
                     if holds_slot:
                         self.inflight.release()
                         self.server._inflight_done()
-                if broken:
-                    break
         finally:
             self.close()
             self.server._forget(self)

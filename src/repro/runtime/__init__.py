@@ -5,23 +5,8 @@ from .asyncio_tcp import AsyncioTCPTransport
 from .central import CentralBackend, CentralOp, localize_return, run_centralized
 from .engine import CLOSE_DEADLINE_CAP, ChoreoEngine, ChoreographyResult
 from .local import LocalTransport
-from .registry import (
-    FaultPlanSource,
-    TransportBackend,
-    WireCodec,
-    backend_names,
-    create_backend,
-    impl,
-    impl_protocols,
-    implementations,
-    implements,
-    register_backend,
-    register_impl,
-    resolve_impl,
-    unregister_backend,
-    unregister_impl,
-)
-from .runner import TRANSPORT_FACTORIES, run_choreography
+from .registry import BACKENDS, create_backend
+from .runner import run_choreography
 from .simulated import SimulatedNetworkTransport
 from .stats import ChannelStats
 from .tcp import TCPTransport
@@ -29,6 +14,7 @@ from .transport import DEFAULT_TIMEOUT, Transport, TransportEndpoint, deserializ
 
 __all__ = [
     "AsyncioTCPTransport",
+    "BACKENDS",
     "CLOSE_DEADLINE_CAP",
     "CentralBackend",
     "CentralOp",
@@ -36,29 +22,15 @@ __all__ = [
     "ChoreoEngine",
     "ChoreographyResult",
     "DEFAULT_TIMEOUT",
-    "FaultPlanSource",
     "LocalTransport",
     "SimulatedNetworkTransport",
     "TCPTransport",
-    "TRANSPORT_FACTORIES",
     "Transport",
-    "TransportBackend",
     "TransportEndpoint",
-    "WireCodec",
-    "backend_names",
     "create_backend",
     "deserialize",
-    "impl",
-    "impl_protocols",
-    "implementations",
-    "implements",
     "localize_return",
-    "register_backend",
-    "register_impl",
-    "resolve_impl",
     "run_centralized",
     "run_choreography",
     "serialize",
-    "unregister_backend",
-    "unregister_impl",
 ]

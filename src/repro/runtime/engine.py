@@ -18,10 +18,10 @@ session-shaped replacement:
   through the same warm session.  Messages are tagged with an instance id
   (:class:`~repro.core.epp.InstanceScopedEndpoint`) so instances never
   interleave even when locations progress at different speeds;
-* backends are resolved by name through the pluggable registry
-  (:mod:`repro.runtime.registry`): ``"local"``, ``"tcp"``, ``"simulated"``,
-  ``"central"``, any name added via
-  :func:`~repro.runtime.registry.register_backend`, or a pre-built
+* backends are resolved by name through the
+  :data:`~repro.runtime.registry.BACKENDS` table: ``"local"``, ``"tcp"``,
+  ``"simulated"``, ``"central"``, any name added with
+  ``BACKENDS[name] = factory``, or a pre-built
   :class:`~repro.runtime.transport.Transport` instance.
 
 :func:`repro.runtime.runner.run_choreography` remains as a one-shot
@@ -285,8 +285,8 @@ class ChoreoEngine:
         The locations participating in every choreography this engine runs.
     backend:
         A registered backend name (``"local"``, ``"tcp"``, ``"simulated"``,
-        ``"central"``, or anything added with
-        :func:`~repro.runtime.registry.register_backend`) or a pre-built
+        ``"central"``, or any key added to
+        :data:`~repro.runtime.registry.BACKENDS`) or a pre-built
         :class:`~repro.runtime.transport.Transport` /
         :class:`~repro.runtime.central.CentralBackend`.  Pre-built backends
         are *borrowed*: :meth:`close` leaves them open.

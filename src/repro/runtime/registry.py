@@ -1,37 +1,13 @@
-"""Typed, discoverable registry of execution backends (and friends).
+"""The table of execution backends: a name → factory dict.
 
-The paper's case studies each ship their own "main method"; this repository
-unifies them behind one seam: :class:`~repro.runtime.engine.ChoreoEngine`
-and :func:`~repro.runtime.runner.run_choreography` resolve a backend here,
-so registering one once makes it reachable from every entry point.
-
-Injection is **Protocol-keyed**, not string-keyed: the registry is a table
-from a :class:`typing.Protocol` (the *injection point*) to named
-implementations of it.  Three injection points ship with the runtime:
-
-* :class:`TransportBackend` — a factory ``factory(census, timeout=...,
-  **options)`` returning a :class:`~repro.runtime.transport.Transport` or a
-  :class:`~repro.runtime.central.CentralBackend`.  Implementations:
-  ``"local"``, ``"tcp"``, ``"asyncio"``, ``"simulated"``, ``"central"``.
-* :class:`WireCodec` — ``encode``/``decode`` payload serialization.
-  Implementation: ``"compact"`` (:mod:`repro.runtime.wire`).
-* :class:`FaultPlanSource` — anything with ``session()`` producing a live
-  fault-injection session (:class:`repro.faults.FaultPlan` registers itself
-  as ``"seeded"``).
-
-Registering is one decorator — ``@impl(TransportBackend, name="mine")`` on
-the factory — or one :func:`register_impl` call for a class defined
-elsewhere.  Implementations are *discoverable*: :func:`implementations`
-lists a protocol's table, :func:`impl_protocols` answers "which injection
-points does this object implement?", and :func:`implements` checks a single
-pairing — so tooling (and tests) can enumerate what plugs in where without
-grepping for magic strings.
-
-String names survive as a thin compatibility shim: :data:`BACKENDS` is a
-live mutable view of the :class:`TransportBackend` table, and
-:func:`register_backend` / :func:`unregister_backend` /
-:func:`backend_names` / :func:`create_backend` keep their historical
-signatures.  Extra factory keyword options are forwarded verbatim (e.g.
+:class:`~repro.runtime.engine.ChoreoEngine` and
+:func:`~repro.runtime.runner.run_choreography` resolve a backend name here.
+A factory is any callable ``factory(census, timeout=..., **options)``
+returning a :class:`~repro.runtime.transport.Transport` or a
+:class:`~repro.runtime.central.CentralBackend`; the transport classes
+themselves are factories.  Plugging in a backend is one assignment,
+``BACKENDS["mine"] = MyTransport`` — or pass a pre-built ``Transport`` to
+the engine.  Extra keyword options are forwarded verbatim (e.g.
 ``latency=`` / ``bandwidth=`` for ``"simulated"``, ``faults=`` — a
 :class:`repro.faults.FaultPlan` — for ``"simulated"``, ``"tcp"``, and
 ``"asyncio"``; see ``docs/testing.md``).
@@ -39,20 +15,9 @@ signatures.  Extra factory keyword options are forwarded verbatim (e.g.
 
 from __future__ import annotations
 
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    MutableMapping,
-    Optional,
-    Protocol,
-    Union,
-    runtime_checkable,
-)
+from typing import Callable, Dict, Union
 
 from ..core.locations import LocationsLike
-from . import wire
 from .asyncio_tcp import AsyncioTCPTransport
 from .central import CentralBackend
 from .local import LocalTransport
@@ -65,197 +30,14 @@ Backend = Union[Transport, CentralBackend]
 
 BackendFactory = Callable[..., Backend]
 
-
-# ------------------------------------------------------------ injection points --
-
-
-@runtime_checkable
-class TransportBackend(Protocol):
-    """The injection point for execution backends.
-
-    An implementation is any callable ``factory(census, timeout=...,
-    **options)`` returning a :class:`~repro.runtime.transport.Transport`
-    (projected, concurrent execution) or a
-    :class:`~repro.runtime.central.CentralBackend` (the single-threaded
-    reference semantics).  The transport classes themselves implement it —
-    a class whose ``__init__`` has the factory signature *is* the factory.
-    """
-
-    def __call__(
-        self, census: LocationsLike, *, timeout: float = DEFAULT_TIMEOUT, **options: Any
-    ) -> Backend: ...
-
-
-@runtime_checkable
-class WireCodec(Protocol):
-    """The injection point for payload serialization codecs."""
-
-    def encode(self, payload: Any) -> bytes: ...
-
-    def decode(self, data: bytes) -> Any: ...
-
-
-@runtime_checkable
-class FaultPlanSource(Protocol):
-    """The injection point for fault-injection plans (``faults=`` options)."""
-
-    def session(self) -> Any: ...
-
-
-# ------------------------------------------------------------------- the table --
-
-#: Protocol → (name → implementation).  Mutate through :func:`register_impl`
-#: so duplicate names are caught and discoverability stays consistent.
-_IMPLEMENTATIONS: Dict[type, Dict[str, Any]] = {}
-
-
-def register_impl(
-    protocol: type, implementation: Any, *, name: str, replace: bool = False
-) -> None:
-    """Register ``implementation`` under ``name`` for ``protocol``.
-
-    Args:
-        protocol: The injection point (a ``Protocol`` class such as
-            :class:`TransportBackend`).
-        implementation: The factory/object to register.
-        name: The lookup name (kept for configs, CLIs, and compatibility).
-        replace: Allow overwriting an existing name (tests, instrumented
-            doubles).
-
-    Raises:
-        ValueError: For an empty name, or a taken name without ``replace``.
-    """
-    if not isinstance(name, str) or not name:
-        raise ValueError(f"implementation name must be a non-empty string, got {name!r}")
-    table = _IMPLEMENTATIONS.setdefault(protocol, {})
-    if name in table and not replace:
-        raise ValueError(
-            f"{protocol.__name__} implementation {name!r} is already registered; "
-            "pass replace=True to override"
-        )
-    table[name] = implementation
-
-
-def unregister_impl(protocol: type, name: str) -> None:
-    """Remove a registered implementation (no-op when absent)."""
-    _IMPLEMENTATIONS.get(protocol, {}).pop(name, None)
-
-
-def impl(
-    protocol: type, *protocols: type, name: Optional[str] = None, replace: bool = False
-) -> Callable[[Any], Any]:
-    """Decorator form of :func:`register_impl` (multi-protocol capable).
-
-    ``@impl(TransportBackend, name="mine")`` registers the decorated factory
-    and returns it unchanged; with several protocols the factory is
-    registered under the same name at each injection point.  ``name``
-    defaults to the factory's ``__name__``.
-    """
-
-    def register(factory: Any) -> Any:
-        label = name if name is not None else getattr(factory, "__name__", None)
-        for point in (protocol, *protocols):
-            register_impl(point, factory, name=str(label), replace=replace)
-        return factory
-
-    return register
-
-
-def implementations(protocol: type) -> Dict[str, Any]:
-    """A copy of ``protocol``'s name → implementation table."""
-    return dict(_IMPLEMENTATIONS.get(protocol, {}))
-
-
-def resolve_impl(protocol: type, name: str) -> Any:
-    """The implementation registered under ``name`` for ``protocol``.
-
-    Raises:
-        ValueError: For an unknown name, listing what is registered.
-    """
-    try:
-        return _IMPLEMENTATIONS.get(protocol, {})[name]
-    except KeyError:
-        known = sorted(_IMPLEMENTATIONS.get(protocol, {}))
-        raise ValueError(
-            f"unknown {protocol.__name__} implementation {name!r}; choose from {known}"
-        ) from None
-
-
-def impl_protocols(implementation: Any) -> List[type]:
-    """The injection points ``implementation`` is registered under."""
-    return [
-        protocol
-        for protocol, table in _IMPLEMENTATIONS.items()
-        if any(registered is implementation for registered in table.values())
-    ]
-
-
-def implements(implementation: Any, protocol: type) -> bool:
-    """Whether ``implementation`` is registered under ``protocol``."""
-    return any(
-        registered is implementation
-        for registered in _IMPLEMENTATIONS.get(protocol, {}).values()
-    )
-
-
-# --------------------------------------------------- string-name compatibility --
-
-
-class _BackendTable(MutableMapping):
-    """Live mutable view of the :class:`TransportBackend` table.
-
-    The historical string-keyed surface (``BACKENDS``,
-    ``TRANSPORT_FACTORIES``): reads see the typed registry, writes go
-    through it (a direct ``BACKENDS[name] = factory`` behaves like
-    ``register_backend(name, factory, replace=True)``).
-    """
-
-    def _table(self) -> Dict[str, Any]:
-        return _IMPLEMENTATIONS.setdefault(TransportBackend, {})
-
-    def __getitem__(self, name: str) -> BackendFactory:
-        return self._table()[name]
-
-    def __setitem__(self, name: str, factory: BackendFactory) -> None:
-        register_impl(TransportBackend, factory, name=name, replace=True)
-
-    def __delitem__(self, name: str) -> None:
-        del self._table()[name]
-
-    def __iter__(self):
-        return iter(self._table())
-
-    def __len__(self) -> int:
-        return len(self._table())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging nicety
-        return f"BACKENDS({self._table()!r})"
-
-
-#: The live name → factory mapping (compatibility view; prefer the typed
-#: :func:`register_impl` / :func:`resolve_impl` surface).
-BACKENDS: MutableMapping = _BackendTable()
-
-
-def register_backend(name: str, factory: BackendFactory, *, replace: bool = False) -> None:
-    """Register ``factory`` under ``name`` for engines and ``run_choreography``.
-
-    Compatibility wrapper over ``register_impl(TransportBackend, ...)``.
-    Raises :class:`ValueError` when the name is already taken, unless
-    ``replace=True`` is passed (useful for tests and for swapping in an
-    instrumented transport).
-    """
-    register_impl(TransportBackend, factory, name=name, replace=replace)
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a registered backend (no-op when absent); mainly for tests."""
-    unregister_impl(TransportBackend, name)
-
-
-def backend_names() -> List[str]:
-    """The registered backend names, sorted."""
-    return sorted(_IMPLEMENTATIONS.get(TransportBackend, {}))
+#: Backend name → factory.
+BACKENDS: Dict[str, BackendFactory] = {
+    "local": LocalTransport,
+    "tcp": TCPTransport,
+    "asyncio": AsyncioTCPTransport,
+    "simulated": SimulatedNetworkTransport,
+    "central": CentralBackend,
+}
 
 
 def create_backend(
@@ -267,38 +49,9 @@ def create_backend(
 ) -> Backend:
     """Instantiate the backend registered under ``name`` for ``census``."""
     try:
-        factory = resolve_impl(TransportBackend, name)
-    except ValueError:
+        factory = BACKENDS[name]
+    except KeyError:
         raise ValueError(
-            f"unknown transport/backend {name!r}; choose from {backend_names()}"
+            f"unknown transport/backend {name!r}; choose from {sorted(BACKENDS)}"
         ) from None
     return factory(census, timeout=timeout, **options)
-
-
-# -------------------------------------------------------- built-in registrations --
-
-register_impl(TransportBackend, LocalTransport, name="local")
-register_impl(TransportBackend, TCPTransport, name="tcp")
-register_impl(TransportBackend, AsyncioTCPTransport, name="asyncio")
-register_impl(TransportBackend, SimulatedNetworkTransport, name="simulated")
-register_impl(TransportBackend, CentralBackend, name="central")
-
-
-@impl(WireCodec, name="compact")
-class CompactWireCodec:
-    """The default codec: :mod:`repro.runtime.wire`'s tag-byte encoding."""
-
-    encode = staticmethod(wire.encode)
-    decode = staticmethod(wire.decode)
-
-
-def _register_fault_sources() -> None:
-    # Imported here, not at module top: repro.faults.inject imports
-    # repro.runtime.transport, so a top-level import would couple the two
-    # package __init__ orders.
-    from ..faults.plan import FaultPlan
-
-    register_impl(FaultPlanSource, FaultPlan, name="seeded")
-
-
-_register_fault_sources()

@@ -15,9 +15,6 @@ contract); running through this function — or any engine — needs no extra
 care, because endpoints flush before blocking in a receive and the engine's
 workers flush at every instance boundary.  Only code driving raw endpoints
 by hand must call ``endpoint.flush()`` after its final send.
-
-The names historically imported from this module —
-:class:`ChoreographyResult` and the backend table — are re-exported here.
 """
 
 from __future__ import annotations
@@ -27,22 +24,9 @@ from typing import Any, Mapping, Optional, Sequence, Union
 from ..core.locations import Location, LocationsLike
 from ..core.ops import Choreography
 from .engine import ChoreoEngine, ChoreographyResult
-from .registry import BACKENDS, backend_names, register_backend
 from .transport import DEFAULT_TIMEOUT, Transport
 
-#: Deprecated alias for the pluggable backend registry: prefer
-#: :func:`repro.runtime.registry.register_backend` over mutating this mapping.
-#: Note that it now also holds non-Transport backends (e.g. ``"central"``);
-#: callers needing real endpoints must type-check what the factory returns.
-TRANSPORT_FACTORIES = BACKENDS
-
-__all__ = [
-    "ChoreographyResult",
-    "TRANSPORT_FACTORIES",
-    "backend_names",
-    "register_backend",
-    "run_choreography",
-]
+__all__ = ["ChoreographyResult", "run_choreography"]
 
 
 def run_choreography(
@@ -71,10 +55,10 @@ def run_choreography(
         ``args``; used when endpoints genuinely start from different local
         inputs (e.g. each party's secret in an MPC protocol).
     transport:
-        A backend name from the registry (``"local"``, ``"tcp"``,
-        ``"simulated"``, ``"central"``, …) or a pre-built
-        :class:`~repro.runtime.transport.Transport`, which is borrowed and
-        left open.  ``None`` means ``"local"``.
+        A backend name from :data:`~repro.runtime.registry.BACKENDS`
+        (``"local"``, ``"tcp"``, ``"simulated"``, ``"central"``, …) or a
+        pre-built :class:`~repro.runtime.transport.Transport`, which is
+        borrowed and left open.  ``None`` means ``"local"``.
     timeout:
         Seconds an endpoint waits on a receive before declaring failure.
 

@@ -22,6 +22,7 @@ separately and deterministically:
 from __future__ import annotations
 
 import socket
+import struct
 import threading
 import time
 
@@ -46,6 +47,7 @@ from repro.gateway import (
     GatewayError,
     GatewayServer,
     GatewaySettings,
+    encode_command,
 )
 from repro.protocols.kvs import Request, StaleEpoch
 from tests.test_cluster_failover import BACKEND, CHAOS_SEEDS, TIMEOUT
@@ -388,6 +390,67 @@ class TestDrain:
             ]
             assert leftover == []
             assert elapsed < 0.05
+
+    def test_client_reset_releases_queued_inflight_slots(self, monkeypatch):
+        # Hold every reply until the client has reset the connection, so the
+        # writer's first send fails with the other replies still queued.
+        gate = threading.Event()
+        submit = GatewayServer._submit
+
+        def gated_submit(server, command):
+            producer = submit(server, command)
+
+            def gated():
+                gate.wait(CLIENT_TIMEOUT)
+                return producer()
+
+            return gated
+
+        monkeypatch.setattr(GatewayServer, "_submit", gated_submit)
+        with ClusterClient(shards=2, replication=2, backend=BACKEND) as kvs:
+            server = GatewayServer(kvs).start()
+            try:
+                raw = socket.create_connection(server.address, timeout=CLIENT_TIMEOUT)
+                count = 16
+                raw.sendall(b"".join(
+                    encode_command(["PUT", f"k{index}", f"v{index}"])
+                    for index in range(count)
+                ))
+                deadline = time.monotonic() + CLIENT_TIMEOUT
+                while server.metrics()["commands"] < count:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                # SO_LINGER 0: close() sends RST, so the writer's sends fail.
+                raw.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+                raw.close()
+                time.sleep(0.05)
+                gate.set()
+                deadline = time.monotonic() + 2.0
+                while server.metrics()["inflight"] and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert server.metrics()["inflight"] == 0
+            finally:
+                gate.set()
+                started = time.monotonic()
+                server.close()
+                elapsed = time.monotonic() - started
+            assert elapsed < 1.0
+
+    def test_close_with_an_idle_client_leaves_no_gateway_threads(self):
+        with ClusterClient(shards=1, replication=1, backend="local") as kvs:
+            before = set(threading.enumerate())
+            server = GatewayServer(kvs).start()
+            with GatewayClient(*server.address, timeout=CLIENT_TIMEOUT) as client:
+                client.call("PING")
+                server.close()
+                time.sleep(0.05)
+                leftover = [
+                    thread.name for thread in set(threading.enumerate()) - before
+                    if thread.name.startswith("gw-") and thread.is_alive()
+                ]
+                assert leftover == []
 
 
 class TestGatewaySettings:

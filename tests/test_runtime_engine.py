@@ -1,4 +1,4 @@
-"""Tests for persistent ChoreoEngine sessions and the backend registry."""
+"""Tests for persistent ChoreoEngine sessions and the backend table."""
 
 from __future__ import annotations
 
@@ -9,14 +9,9 @@ import pytest
 
 from repro import ChoreoEngine, run_choreography
 from repro.core.errors import CensusError, ChoreographyRuntimeError
+from repro.runtime import BACKENDS, create_backend
 from repro.runtime.central import CentralBackend
 from repro.runtime.local import LocalTransport
-from repro.runtime.registry import (
-    backend_names,
-    create_backend,
-    register_backend,
-    unregister_backend,
-)
 from repro.runtime.tcp import TCPTransport
 
 CENSUS = ["alice", "bob", "carol"]
@@ -332,39 +327,26 @@ class TestCentralBackend:
 
 class TestBackendRegistry:
     def test_builtin_backends_registered(self):
-        assert {"local", "tcp", "asyncio", "simulated", "central"} <= set(
-            backend_names()
-        )
+        assert sorted(BACKENDS) == sorted(ALL_BACKENDS)
 
-    def test_register_backend_is_pluggable(self):
+    def test_backends_dict_is_pluggable(self, monkeypatch):
         class TracingTransport(LocalTransport):
             pass
 
-        register_backend("tracing-local", TracingTransport)
-        try:
-            assert "tracing-local" in backend_names()
-            with ChoreoEngine(CENSUS, backend="tracing-local") as engine:
-                assert isinstance(engine.transport, TracingTransport)
-                assert engine.run(ping_pong, args=("x",)).returns["bob"] == "x!"
-            # ...and through the compatibility wrapper too
-            result = run_choreography(ping_pong, CENSUS, args=("y",),
-                                      transport="tracing-local")
-            assert result.returns["carol"] == "y!"
-        finally:
-            unregister_backend("tracing-local")
+        monkeypatch.setitem(BACKENDS, "tracing-local", TracingTransport)
+        with ChoreoEngine(CENSUS, backend="tracing-local") as engine:
+            assert isinstance(engine.transport, TracingTransport)
+            assert engine.run(ping_pong, args=("x",)).returns["bob"] == "x!"
+        # ...and through the one-shot wrapper too
+        result = run_choreography(ping_pong, CENSUS, args=("y",),
+                                  transport="tracing-local")
+        assert result.returns["carol"] == "y!"
 
-    def test_duplicate_registration_needs_replace(self):
-        register_backend("dupe-test", LocalTransport)
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                register_backend("dupe-test", LocalTransport)
-            register_backend("dupe-test", TCPTransport, replace=True)
-        finally:
-            unregister_backend("dupe-test")
-
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown transport"):
+    def test_unknown_backend_raises(self, monkeypatch):
+        monkeypatch.setitem(BACKENDS, "pigeon-test", LocalTransport)
+        with pytest.raises(ValueError, match="unknown transport") as err:
             create_backend("carrier-pigeon", CENSUS)
+        assert all(repr(name) in str(err.value) for name in BACKENDS)
         with pytest.raises(ValueError, match="unknown transport"):
             ChoreoEngine(CENSUS, backend="carrier-pigeon")
 
@@ -377,89 +359,6 @@ class TestBackendRegistry:
         backend = create_backend("central", CENSUS)
         assert isinstance(backend, CentralBackend)
         backend.close()
-
-
-class TestTypedRegistry:
-    """The Protocol-keyed injection layer under the string-name shim."""
-
-    def test_impl_decorator_registers_and_resolves(self):
-        from repro.runtime.registry import (
-            TransportBackend,
-            impl,
-            impl_protocols,
-            implementations,
-            implements,
-            resolve_impl,
-            unregister_impl,
-        )
-
-        @impl(TransportBackend, name="typed-local")
-        class TypedLocal(LocalTransport):
-            pass
-
-        try:
-            assert resolve_impl(TransportBackend, "typed-local") is TypedLocal
-            assert implementations(TransportBackend)["typed-local"] is TypedLocal
-            assert implements(TypedLocal, TransportBackend)
-            assert TransportBackend in impl_protocols(TypedLocal)
-            # the string shim and the engine see the typed registration
-            assert "typed-local" in backend_names()
-            with ChoreoEngine(CENSUS, backend="typed-local") as engine:
-                assert isinstance(engine.transport, TypedLocal)
-                assert engine.run(ping_pong, args=("x",)).returns["bob"] == "x!"
-        finally:
-            unregister_impl(TransportBackend, "typed-local")
-        assert "typed-local" not in backend_names()
-
-    def test_unknown_impl_name_lists_the_protocols_table(self):
-        from repro.runtime.registry import TransportBackend, resolve_impl
-
-        with pytest.raises(ValueError, match="unknown TransportBackend"):
-            resolve_impl(TransportBackend, "carrier-pigeon")
-
-    def test_duplicate_impl_name_needs_replace(self):
-        from repro.runtime.registry import TransportBackend, register_impl, unregister_impl
-
-        register_impl(TransportBackend, LocalTransport, name="dupe-impl")
-        try:
-            with pytest.raises(ValueError, match="already registered"):
-                register_impl(TransportBackend, TCPTransport, name="dupe-impl")
-            register_impl(TransportBackend, TCPTransport, name="dupe-impl", replace=True)
-        finally:
-            unregister_impl(TransportBackend, "dupe-impl")
-
-    def test_wire_codec_and_fault_sources_are_discoverable(self):
-        from repro.faults import FaultPlan
-        from repro.runtime.registry import (
-            FaultPlanSource,
-            WireCodec,
-            implementations,
-            implements,
-            resolve_impl,
-        )
-
-        codec = resolve_impl(WireCodec, "compact")
-        assert codec.decode(codec.encode((1, "x"))) == (1, "x")
-        assert isinstance(codec, WireCodec)  # runtime_checkable structural check
-        assert implements(FaultPlan, FaultPlanSource)
-        assert "seeded" in implementations(FaultPlanSource)
-
-    def test_backends_mapping_is_a_live_view_of_the_typed_table(self):
-        from repro.runtime.registry import BACKENDS, TransportBackend, implements
-
-        class Pigeon(LocalTransport):
-            pass
-
-        BACKENDS["pigeon-test"] = Pigeon
-        try:
-            assert "pigeon-test" in backend_names()
-            assert BACKENDS["pigeon-test"] is Pigeon
-            assert implements(Pigeon, TransportBackend)
-            assert len(BACKENDS) == len(backend_names())
-            assert set(BACKENDS) == set(backend_names())
-        finally:
-            del BACKENDS["pigeon-test"]
-        assert "pigeon-test" not in backend_names()
 
 
 class TestCloseDeadlineCap:
