@@ -9,7 +9,8 @@ import pytest
 
 from repro import ChoreoEngine, run_choreography
 from repro.core.errors import CensusError, ChoreographyRuntimeError
-from repro.runtime import BACKENDS, create_backend
+from repro.faults.plan import FaultPlan, FaultSession
+from repro.runtime import BACKENDS, DEFAULT_TIMEOUT, create_backend
 from repro.runtime.central import CentralBackend
 from repro.runtime.local import LocalTransport
 from repro.runtime.tcp import TCPTransport
@@ -359,6 +360,61 @@ class TestBackendRegistry:
         backend = create_backend("central", CENSUS)
         assert isinstance(backend, CentralBackend)
         backend.close()
+
+    def test_create_backend_forwards_census_timeout_and_options(self, monkeypatch):
+        calls = []
+
+        def recording(census, **kwargs):
+            calls.append((census, kwargs))
+            return LocalTransport(census, timeout=kwargs["timeout"])
+
+        monkeypatch.setitem(BACKENDS, "recording", recording)
+        create_backend("recording", CENSUS, timeout=1.5, label="x").close()
+        create_backend("recording", CENSUS).close()
+        assert calls == [
+            (CENSUS, {"timeout": 1.5, "label": "x"}),
+            (CENSUS, {"timeout": DEFAULT_TIMEOUT}),
+        ]
+
+    def test_overriding_a_builtin_name_takes_effect(self, monkeypatch):
+        class TracingTransport(LocalTransport):
+            pass
+
+        monkeypatch.setitem(BACKENDS, "local", TracingTransport)
+        with ChoreoEngine(CENSUS, backend="local") as engine:
+            assert isinstance(engine.transport, TracingTransport)
+            assert engine.run(ping_pong, args=("z",)).returns["alice"] == "z!"
+
+    def test_deleted_name_is_rejected(self, monkeypatch):
+        monkeypatch.delitem(BACKENDS, "central")
+        with pytest.raises(ValueError, match="unknown transport") as err:
+            create_backend("central", CENSUS)
+        assert "'central'" not in str(err.value).split("choose from")[1]
+        assert all(repr(name) in str(err.value) for name in BACKENDS)
+
+    @pytest.mark.parametrize("backend", ["simulated", "tcp", "asyncio"])
+    def test_fault_plan_reaches_fault_capable_backends(self, backend):
+        transport = create_backend(backend, CENSUS, faults=FaultPlan(seed=1))
+        try:
+            assert isinstance(transport.faults, FaultSession)
+        finally:
+            transport.close()
+
+    def test_removed_registry_names_are_gone(self):
+        import repro
+        import repro.runtime
+        from repro.runtime import registry, runner
+
+        removed = [
+            "register_backend", "unregister_backend", "backend_names",
+            "register_impl", "unregister_impl", "resolve_impl", "implementations",
+            "TRANSPORT_FACTORIES", "TransportBackend", "WireCodec",
+            "FaultPlanSource", "CompactWireCodec",
+        ]
+        for module in (repro, repro.runtime, registry, runner):
+            assert [n for n in removed if hasattr(module, n)] == [], module
+        assert repro.runtime.BACKENDS is registry.BACKENDS
+        assert repro.runtime.create_backend is registry.create_backend
 
 
 class TestCloseDeadlineCap:
